@@ -642,11 +642,11 @@ fn run_chaos(opts: &Opts) {
             let mut plan = FaultPlan::new(seed)
                 .with_delays(0.2, Duration::from_micros(100))
                 .with_reordering(0.25);
-            // On TCP the chaos also attacks the wire itself: latency,
-            // silent drops, bit corruption, and partial writes. The
-            // session layer must retransmit/resync so the digest still
-            // matches the fault-free run bit for bit.
-            if matches!(backend, Backend::Tcp(_)) {
+            // On the process backends the chaos also attacks the wire
+            // itself: latency, silent drops, bit corruption, and partial
+            // writes. The session layer must retransmit/resync so the
+            // digest still matches the fault-free run bit for bit.
+            if matches!(backend, Backend::Sockets(_) | Backend::Tcp(_)) {
                 plan = plan
                     .with_net_delays(0.05, Duration::from_micros(200))
                     .with_net_drops(0.02)

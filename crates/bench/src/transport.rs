@@ -1,20 +1,20 @@
 //! Backend-parameterized rank programs for the chaos and recovery
 //! suites.
 //!
-//! The socket transport runs each rank in a child process, which cannot
+//! The process transports run each rank in a child process, which cannot
 //! inherit a test's closures — programs must be plain `fn` items looked
 //! up by name in a [`ProgramRegistry`] that both the supervisor and the
 //! spawned workers construct identically. This module is that shared
 //! registry: the `repro` binary calls
 //! [`maybe_run_socket_child`](quadforest_comm::maybe_run_socket_child)
 //! with it first thing in `main`, so `repro` doubles as the worker
-//! executable for every socket-backend run (tests locate it via
+//! executable for every process-backend run (tests locate it via
 //! `env!("CARGO_BIN_EXE_repro")`, `repro --backend sockets` via
 //! `std::env::current_exe()`).
 //!
 //! The same registry runs unchanged on the thread backend through
 //! [`try_run_program`](quadforest_comm::try_run_program) — one
-//! parameterized harness, two transports, identical digests.
+//! parameterized harness, three backends, identical digests.
 
 use quadforest_comm::{Attempt, Comm, CommError, ProgramCtx, ProgramRegistry};
 use quadforest_connectivity::Connectivity;
@@ -31,6 +31,11 @@ pub const CHAOS_PIPELINE: &str = "chaos-pipeline";
 pub const RECOVERY_PIPELINE: &str = "recovery-pipeline";
 /// Name of the data-bearing advection benchmark program (`repro --pde`).
 pub const PDE_ADVECTION: &str = "pde-advection";
+/// Name of the program whose victim rank (the Wire-encoded `u64`
+/// argument) ends its own process with `std::process::exit` halfway
+/// through the pipeline. Process backends only: on threads it would end
+/// the calling process.
+pub const EXIT_MID_PIPELINE: &str = "exit-mid-pipeline";
 
 /// The registry shared by supervisors, workers, and tests. Both sides
 /// of a socket world MUST build it from this one function — a worker
@@ -40,6 +45,7 @@ pub fn registry() -> ProgramRegistry {
         .register(CHAOS_PIPELINE, chaos_pipeline)
         .register(RECOVERY_PIPELINE, recovery_pipeline)
         .register(PDE_ADVECTION, pde_advection)
+        .register(EXIT_MID_PIPELINE, exit_mid_pipeline)
 }
 
 /// Collective digest of one pipeline run: `(forest checksum, global
@@ -70,6 +76,21 @@ pub fn pipeline(comm: &Comm) -> PipelineDigest {
 
 fn chaos_pipeline(comm: &Comm, _ctx: &ProgramCtx) -> Result<Vec<u8>, CommError> {
     Ok(pipeline(comm).to_wire())
+}
+
+fn exit_mid_pipeline(comm: &Comm, ctx: &ProgramCtx) -> Result<Vec<u8>, CommError> {
+    let victim = u64::from_wire(&ctx.args).map_err(|e| CommError::Frame {
+        detail: format!("exit-mid-pipeline args: {e}"),
+    })?;
+    let conn = Arc::new(Connectivity::unit(2));
+    let mut f = Forest::<MortonQuad<2>>::new_uniform(conn, comm, 2);
+    f.refine(comm, true, |_, q| q.level() < 4);
+    if comm.rank() as u64 == victim {
+        std::process::exit(7);
+    }
+    f.balance(comm, BalanceKind::Face);
+    f.partition(comm);
+    Ok(f.checksum(comm).to_wire())
 }
 
 /// Rank-independent refine selector (callbacks must not depend on the

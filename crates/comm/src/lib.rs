@@ -122,7 +122,7 @@ pub(crate) enum Payload {
 /// FNV-1a over the type name: the cross-process analogue of a `TypeId`
 /// (which is not stable across binaries, let alone processes). Type
 /// *names* are stable for one compiled binary talking to itself, which
-/// is exactly the socket-backend topology (the supervisor re-executes
+/// is exactly the process-backend topology (the supervisor re-executes
 /// its own binary per rank).
 pub(crate) fn wire_type_tag<T: 'static>() -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -462,7 +462,7 @@ impl Comm {
     /// message moves. Panics are raised via `resume_unwind` so the
     /// global panic hook stays quiet — injected deaths are expected,
     /// only *unexpected* panics should print. A SIGKILL or stall asks
-    /// the transport first: the socket backend arranges a real process
+    /// the transport first: the process backends arrange a real process
     /// death (and the rank parks awaiting it); the thread backend
     /// cannot, so both degrade to a scheduled panic.
     fn tick(&self) {

@@ -14,7 +14,7 @@
 //! [`run_with_recovery_program`] is the backend-generic variant: the
 //! same supervisor loop around a *named* program and a
 //! [`Backend`](crate::Backend), so recovery also restarts real rank
-//! **processes** on the socket backend — including after a `kill -9`,
+//! **processes** on the process backends — including after a `kill -9`,
 //! which no in-process supervisor can survive.
 //!
 //! Fault injection stays deterministic: [`RecoveryOptions::plans`]
@@ -94,7 +94,7 @@ impl RecoveryPolicy {
     }
 }
 
-// A RecoveryPolicy doubles as the TCP backend's *reconnect* schedule
+// A RecoveryPolicy doubles as the process backends' *reconnect* schedule
 // and must travel to spawned rank processes (hex-encoded in an
 // environment variable), so it needs a wire form.
 impl quadforest_core::Wire for RecoveryPolicy {
@@ -288,8 +288,8 @@ where
 
 /// Backend-generic recovery: run registered program `name` on
 /// `backend` under the same supervisor loop as [`run_with_recovery`].
-/// On [`Backend::Sockets`] every retry spawns a **fresh set of rank
-/// processes** — the supervisor restarts real processes from the
+/// On [`Backend::Sockets`] and [`Backend::Tcp`] every retry spawns a
+/// **fresh set of rank processes** — the supervisor restarts them from the
 /// program's last good checkpoint, surviving even a `kill -9` that
 /// took a rank down without unwinding. Reconnection activity is
 /// counted in `comm.reconnect.attempts` (global registry).

@@ -1,5 +1,5 @@
-//! Length-prefixed, CRC-guarded frames for the socket and TCP
-//! transports.
+//! Length-prefixed, CRC-guarded frames for the process-per-rank
+//! transport.
 //!
 //! Wire layout of one frame:
 //!
@@ -9,10 +9,10 @@
 //!
 //! `len` counts only the payload; `crc` is CRC-32 of the payload (the
 //! same polynomial the checkpoint shards use, from
-//! [`quadforest_core::crc`]). The payload is the Wire encoding of a
-//! [`Frame`] (Unix sockets) or of the TCP backend's packet envelope —
-//! the framing itself is generic over any [`Wire`] payload via
-//! [`encode_wire`] / [`read_wire`]. Decoding is strict and
+//! [`quadforest_core::crc`]). The payload is the Wire encoding of the
+//! session layer's packet envelope around a [`Frame`] — the framing
+//! itself is generic over any [`Wire`] payload via [`encode_wire`] /
+//! [`read_wire_stalling`]. Decoding is strict and
 //! hostile-input-safe: a length prefix above the *configurable* cap is
 //! rejected *before* any allocation, a CRC mismatch or trailing bytes
 //! is a typed error, and EOF mid-frame is distinguished from clean EOF
@@ -41,8 +41,8 @@ use std::time::{Duration, Instant};
 /// Default upper bound on a single frame payload. Far above anything
 /// the forest algorithms send (the biggest alltoallv slabs are a few
 /// MiB), far below anything that could be a length-prefix attack. The
-/// TCP backend makes the cap configurable per world
-/// (`TcpOptions::max_frame_len`); the read path takes it as a
+/// process backend makes the cap configurable per world
+/// (`SocketOptions::max_frame_len`); the read path takes it as a
 /// parameter and enforces it *before* allocating the payload buffer.
 pub(crate) const MAX_FRAME_LEN: u32 = 256 << 20;
 
@@ -54,11 +54,9 @@ const LEN_GUARD: u32 = 0x5AFE_C0DE;
 /// Bytes of framing before the payload: len, len-guard, payload CRC.
 pub(crate) const HEADER_LEN: usize = 12;
 
-/// Everything that travels over a rank⇄supervisor socket.
+/// Everything that travels over a rank⇄supervisor connection.
 #[derive(Clone, Debug, PartialEq)]
 pub(crate) enum Frame {
-    /// First frame on a connection: the child identifies its rank.
-    Hello { rank: u64 },
     /// A point-to-point or collective message, routed via the
     /// supervisor star. `type_tag` is the sender's payload type hash;
     /// `bytes` the telemetry size estimate.
@@ -103,10 +101,6 @@ pub(crate) enum Frame {
 impl Wire for Frame {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
-            Frame::Hello { rank } => {
-                out.push(0);
-                rank.encode(out);
-            }
             Frame::Msg {
                 src,
                 dst,
@@ -121,7 +115,7 @@ impl Wire for Frame {
                 tag.encode(out);
                 type_tag.encode(out);
                 bytes.encode(out);
-                data.encode(out);
+                encode_bytes(data, out);
             }
             Frame::Heartbeat {
                 rank,
@@ -143,7 +137,7 @@ impl Wire for Frame {
             Frame::Done { rank, result } => {
                 out.push(4);
                 rank.encode(out);
-                result.encode(out);
+                encode_bytes(result, out);
             }
             Frame::Failed {
                 rank,
@@ -167,16 +161,13 @@ impl Wire for Frame {
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         match u8::decode(r)? {
-            0 => Ok(Frame::Hello {
-                rank: u64::decode(r)?,
-            }),
             1 => Ok(Frame::Msg {
                 src: u64::decode(r)?,
                 dst: u64::decode(r)?,
                 tag: u64::decode(r)?,
                 type_tag: u64::decode(r)?,
                 bytes: u64::decode(r)?,
-                data: Vec::decode(r)?,
+                data: decode_bytes(r)?,
             }),
             2 => Ok(Frame::Heartbeat {
                 rank: u64::decode(r)?,
@@ -190,7 +181,7 @@ impl Wire for Frame {
             }),
             4 => Ok(Frame::Done {
                 rank: u64::decode(r)?,
-                result: Vec::decode(r)?,
+                result: decode_bytes(r)?,
             }),
             5 => Ok(Frame::Failed {
                 rank: u64::decode(r)?,
@@ -205,6 +196,21 @@ impl Wire for Frame {
             d => Err(WireError::Invalid(format!("Frame discriminant {d}"))),
         }
     }
+}
+
+/// `Vec<u8>`'s Wire layout (a `u64` length, then the bytes), written
+/// in one copy instead of byte by byte: payloads are the bulk of every
+/// frame.
+fn encode_bytes(bytes: &[u8], out: &mut Vec<u8>) {
+    (bytes.len() as u64).encode(out);
+    out.extend_from_slice(bytes);
+}
+
+/// Inverse of [`encode_bytes`], with `Vec<u8>`'s pre-allocation length
+/// check.
+fn decode_bytes(r: &mut WireReader<'_>) -> Result<Vec<u8>, WireError> {
+    let len = r.seq_len()?;
+    Ok(r.take(len)?.to_vec())
 }
 
 /// Why reading a frame off a stream failed.
@@ -274,48 +280,18 @@ impl std::fmt::Display for FrameError {
 }
 
 /// Encode any Wire value as `[len][guard][crc][payload]` ready to
-/// write.
+/// write, in one buffer.
 pub(crate) fn encode_wire<T: Wire>(value: &T) -> Vec<u8> {
-    let payload = value.to_wire();
+    let mut out = vec![0u8; HEADER_LEN];
+    value.encode(&mut out);
+    let payload = &out[HEADER_LEN..];
     debug_assert!(payload.len() <= MAX_FRAME_LEN as usize);
     let len = payload.len() as u32;
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(&(len ^ LEN_GUARD).to_le_bytes());
-    out.extend_from_slice(&crc32(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
+    let crc = crc32(payload);
+    out[0..4].copy_from_slice(&len.to_le_bytes());
+    out[4..8].copy_from_slice(&(len ^ LEN_GUARD).to_le_bytes());
+    out[8..12].copy_from_slice(&crc.to_le_bytes());
     out
-}
-
-/// Encode `frame` as `[len][guard][crc][payload]` ready to write.
-pub(crate) fn encode_frame(frame: &Frame) -> Vec<u8> {
-    encode_wire(frame)
-}
-
-/// Fill `buf` from `stream`, tolerating read timeouts (the socket has
-/// a short `read_timeout` so readers can poll `stop`). Returns the
-/// byte count actually read when EOF arrives early.
-fn read_full(
-    stream: &mut impl Read,
-    buf: &mut [u8],
-    stop: &AtomicBool,
-) -> Result<(), (usize, FrameErrorKind)> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        if stop.load(Ordering::Relaxed) {
-            return Err((filled, FrameErrorKind::Stopped));
-        }
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => return Err((filled, FrameErrorKind::Eof)),
-            Ok(n) => filled += n,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut
-                    || e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err((filled, FrameErrorKind::Io(e.to_string()))),
-        }
-    }
-    Ok(())
 }
 
 enum FrameErrorKind {
@@ -325,11 +301,26 @@ enum FrameErrorKind {
     Stalled,
 }
 
-/// Like [`read_full`], but gives up when the read makes no progress
-/// for `idle_limit`. With `armed = false` the clock only starts once
-/// the first byte arrives (an idle link between frames is normal);
-/// with `armed = true` it runs from the first poll (a frame header
-/// just arrived, so its payload must be right behind it).
+impl FrameErrorKind {
+    /// The typed error for a read that stopped at byte `got` of a
+    /// message `wanted` bytes long.
+    fn at(self, got: usize, wanted: usize) -> FrameError {
+        match self {
+            FrameErrorKind::Eof => FrameError::TruncatedEof { got, wanted },
+            FrameErrorKind::Stalled => FrameError::Stalled { got, wanted },
+            FrameErrorKind::Stopped => FrameError::Stopped,
+            FrameErrorKind::Io(e) => FrameError::Io(e),
+        }
+    }
+}
+
+/// Fill `buf` from `stream`, tolerating read timeouts (the socket has
+/// a short `read_timeout` so readers can poll `stop`), and give up when
+/// the read makes no progress for `idle_limit`. With `armed = false`
+/// the clock only starts once the first byte arrives (an idle link
+/// between frames is normal); with `armed = true` it runs from the
+/// first poll (a frame header just arrived, so its payload must be
+/// right behind it). Returns the byte count actually read on failure.
 fn read_full_idle(
     stream: &mut impl Read,
     buf: &mut [u8],
@@ -385,77 +376,16 @@ fn parse_header(header: &[u8; HEADER_LEN], cap: u32) -> Result<(u32, u32), Frame
 /// payload is any Wire type, enforcing `cap` on the length prefix
 /// *before* the payload buffer is allocated. `stop` lets the owner
 /// retire the reader thread without closing the socket.
-pub(crate) fn read_wire<T: Wire>(
-    stream: &mut impl Read,
-    stop: &AtomicBool,
-    cap: u32,
-) -> Result<T, FrameError> {
-    let mut header = [0u8; HEADER_LEN];
-    match read_full(stream, &mut header, stop) {
-        Ok(()) => {}
-        // EOF before any header byte is a clean close; anything later
-        // is a mid-frame death
-        Err((0, FrameErrorKind::Eof)) => return Err(FrameError::Eof),
-        Err((got, FrameErrorKind::Eof)) => {
-            return Err(FrameError::TruncatedEof {
-                got,
-                wanted: HEADER_LEN,
-            })
-        }
-        Err((got, FrameErrorKind::Stalled)) => {
-            return Err(FrameError::Stalled {
-                got,
-                wanted: HEADER_LEN,
-            })
-        }
-        Err((_, FrameErrorKind::Stopped)) => return Err(FrameError::Stopped),
-        Err((_, FrameErrorKind::Io(e))) => return Err(FrameError::Io(e)),
-    }
-    let (len, expected_crc) = parse_header(&header, cap)?;
-    let mut payload = vec![0u8; len as usize];
-    match read_full(stream, &mut payload, stop) {
-        Ok(()) => {}
-        Err((got, FrameErrorKind::Eof)) => {
-            return Err(FrameError::TruncatedEof {
-                got: HEADER_LEN + got,
-                wanted: HEADER_LEN + len as usize,
-            })
-        }
-        Err((got, FrameErrorKind::Stalled)) => {
-            return Err(FrameError::Stalled {
-                got: HEADER_LEN + got,
-                wanted: HEADER_LEN + len as usize,
-            })
-        }
-        Err((_, FrameErrorKind::Stopped)) => return Err(FrameError::Stopped),
-        Err((_, FrameErrorKind::Io(e))) => return Err(FrameError::Io(e)),
-    }
-    let got_crc = crc32(&payload);
-    if got_crc != expected_crc {
-        return Err(FrameError::Crc {
-            expected: expected_crc,
-            got: got_crc,
-        });
-    }
-    T::from_wire(&payload).map_err(|e| FrameError::Decode(e.to_string()))
-}
-
-/// Read and decode one [`Frame`] under the default cap.
-pub(crate) fn read_frame(stream: &mut impl Read, stop: &AtomicBool) -> Result<Frame, FrameError> {
-    read_wire(stream, stop, MAX_FRAME_LEN)
-}
-
-/// Like [`read_wire`], but with a mid-frame progress deadline: once
-/// any byte of a message has arrived, the rest must keep arriving with
-/// gaps no longer than `idle_limit`, or the read fails with
+///
+/// Once any byte of a message has arrived, the rest must keep arriving
+/// with gaps no longer than `idle_limit`, or the read fails with
 /// [`FrameError::Stalled`]. A frame's bytes are written back-to-back,
 /// so a silent mid-frame gap means the connection itself went dark
 /// (e.g. a network partition opened between two segments) — the
 /// header guard cannot see that, only the clock can. Waiting
-/// *between* messages is unlimited — an idle link is healthy.
-///
-/// Requires the stream to have a short `read_timeout` (the poll is
-/// what samples the clock).
+/// *between* messages is unlimited — an idle link is healthy. The
+/// clock is sampled on each poll, so it needs a stream with a short
+/// `read_timeout`.
 pub(crate) fn read_wire_stalling<T: Wire>(
     stream: &mut impl Read,
     stop: &AtomicBool,
@@ -465,41 +395,15 @@ pub(crate) fn read_wire_stalling<T: Wire>(
     let mut header = [0u8; HEADER_LEN];
     match read_full_idle(stream, &mut header, stop, idle_limit, false) {
         Ok(()) => {}
+        // EOF before any header byte is a clean close; anything later
+        // is a mid-frame death
         Err((0, FrameErrorKind::Eof)) => return Err(FrameError::Eof),
-        Err((got, FrameErrorKind::Eof)) => {
-            return Err(FrameError::TruncatedEof {
-                got,
-                wanted: HEADER_LEN,
-            })
-        }
-        Err((got, FrameErrorKind::Stalled)) => {
-            return Err(FrameError::Stalled {
-                got,
-                wanted: HEADER_LEN,
-            })
-        }
-        Err((_, FrameErrorKind::Stopped)) => return Err(FrameError::Stopped),
-        Err((_, FrameErrorKind::Io(e))) => return Err(FrameError::Io(e)),
+        Err((got, kind)) => return Err(kind.at(got, HEADER_LEN)),
     }
     let (len, expected_crc) = parse_header(&header, cap)?;
     let mut payload = vec![0u8; len as usize];
-    match read_full_idle(stream, &mut payload, stop, idle_limit, true) {
-        Ok(()) => {}
-        Err((got, FrameErrorKind::Eof)) => {
-            return Err(FrameError::TruncatedEof {
-                got: HEADER_LEN + got,
-                wanted: HEADER_LEN + len as usize,
-            })
-        }
-        Err((got, FrameErrorKind::Stalled)) => {
-            return Err(FrameError::Stalled {
-                got: HEADER_LEN + got,
-                wanted: HEADER_LEN + len as usize,
-            })
-        }
-        Err((_, FrameErrorKind::Stopped)) => return Err(FrameError::Stopped),
-        Err((_, FrameErrorKind::Io(e))) => return Err(FrameError::Io(e)),
-    }
+    read_full_idle(stream, &mut payload, stop, idle_limit, true)
+        .map_err(|(got, kind)| kind.at(HEADER_LEN + got, HEADER_LEN + len as usize))?;
     let got_crc = crc32(&payload);
     if got_crc != expected_crc {
         return Err(FrameError::Crc {
@@ -508,6 +412,15 @@ pub(crate) fn read_wire_stalling<T: Wire>(
         });
     }
     T::from_wire(&payload).map_err(|e| FrameError::Decode(e.to_string()))
+}
+
+/// [`read_wire_stalling`] with no idle limit.
+pub(crate) fn read_wire<T: Wire>(
+    stream: &mut impl Read,
+    stop: &AtomicBool,
+    cap: u32,
+) -> Result<T, FrameError> {
+    read_wire_stalling(stream, stop, cap, Duration::MAX)
 }
 
 /// Blocking wrapper used during connection handshakes: read one Wire
@@ -542,15 +455,6 @@ pub(crate) fn read_wire_timeout<T: Wire>(
     read_wire(&mut dr, &stop, cap)
 }
 
-/// Blocking wrapper used during the connection handshake: read one
-/// frame or give up after `timeout`.
-pub(crate) fn read_frame_timeout(
-    stream: &mut impl Read,
-    timeout: Duration,
-) -> Result<Frame, FrameError> {
-    read_wire_timeout(stream, timeout, MAX_FRAME_LEN)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -558,6 +462,11 @@ mod tests {
 
     fn no_stop() -> AtomicBool {
         AtomicBool::new(false)
+    }
+
+    /// One frame through the reader, under the default cap.
+    fn read_one(stream: &mut impl Read) -> Result<Frame, FrameError> {
+        read_wire(stream, &no_stop(), MAX_FRAME_LEN)
     }
 
     /// Frame a raw payload by hand: correct header, arbitrary bytes.
@@ -573,7 +482,6 @@ mod tests {
 
     fn sample_frames() -> Vec<Frame> {
         vec![
-            Frame::Hello { rank: 3 },
             Frame::Msg {
                 src: 1,
                 dst: 2,
@@ -618,12 +526,12 @@ mod tests {
     #[test]
     fn frames_roundtrip_through_codec() {
         for frame in sample_frames() {
-            let bytes = encode_frame(&frame);
+            let bytes = encode_wire(&frame);
             let mut cur = Cursor::new(bytes);
-            let back = read_frame(&mut cur, &no_stop()).expect("decode");
+            let back = read_one(&mut cur).expect("decode");
             assert_eq!(frame, back);
             // and the stream is fully consumed: next read is clean EOF
-            assert_eq!(read_frame(&mut cur, &no_stop()), Err(FrameError::Eof));
+            assert_eq!(read_one(&mut cur), Err(FrameError::Eof));
         }
     }
 
@@ -632,18 +540,18 @@ mod tests {
         let frames = sample_frames();
         let mut bytes = Vec::new();
         for f in &frames {
-            bytes.extend_from_slice(&encode_frame(f));
+            bytes.extend_from_slice(&encode_wire(f));
         }
         let mut cur = Cursor::new(bytes);
         for f in &frames {
-            assert_eq!(&read_frame(&mut cur, &no_stop()).expect("frame"), f);
+            assert_eq!(&read_one(&mut cur).expect("frame"), f);
         }
-        assert_eq!(read_frame(&mut cur, &no_stop()), Err(FrameError::Eof));
+        assert_eq!(read_one(&mut cur), Err(FrameError::Eof));
     }
 
     #[test]
     fn truncation_at_every_byte_is_typed_never_a_panic() {
-        let full = encode_frame(&Frame::Msg {
+        let full = encode_wire(&Frame::Msg {
             src: 0,
             dst: 1,
             tag: 5,
@@ -653,7 +561,7 @@ mod tests {
         });
         for cut in 1..full.len() {
             let mut cur = Cursor::new(full[..cut].to_vec());
-            let err = read_frame(&mut cur, &no_stop()).expect_err("truncated");
+            let err = read_one(&mut cur).expect_err("truncated");
             match err {
                 FrameError::TruncatedEof { got, wanted } => {
                     assert_eq!(got, cut);
@@ -674,7 +582,7 @@ mod tests {
         bytes.extend_from_slice(&0u32.to_le_bytes());
         let mut cur = Cursor::new(bytes);
         assert_eq!(
-            read_frame(&mut cur, &no_stop()),
+            read_one(&mut cur),
             Err(FrameError::Oversized {
                 len: 3 << 30,
                 cap: MAX_FRAME_LEN
@@ -690,7 +598,7 @@ mod tests {
             rank: 0,
             result: vec![7; 100],
         };
-        let bytes = encode_frame(&frame);
+        let bytes = encode_wire(&frame);
         let payload_len = (bytes.len() - HEADER_LEN) as u32;
         let tight = payload_len - 1;
         let mut cur = Cursor::new(bytes.clone());
@@ -711,7 +619,7 @@ mod tests {
 
     #[test]
     fn crc_mismatch_is_detected() {
-        let mut bytes = encode_frame(&Frame::Heartbeat {
+        let mut bytes = encode_wire(&Frame::Heartbeat {
             rank: 4,
             seq: 9,
             op: 0,
@@ -720,7 +628,7 @@ mod tests {
         let last = bytes.len() - 1;
         bytes[last] ^= 0x40; // flip one payload bit
         let mut cur = Cursor::new(bytes);
-        match read_frame(&mut cur, &no_stop()) {
+        match read_one(&mut cur) {
             Err(FrameError::Crc { .. }) => {}
             other => panic!("expected CRC error, got {other:?}"),
         }
@@ -731,7 +639,7 @@ mod tests {
         let payload = vec![250u8]; // no such Frame variant
         let bytes = raw_frame(&payload);
         let mut cur = Cursor::new(bytes);
-        match read_frame(&mut cur, &no_stop()) {
+        match read_one(&mut cur) {
             Err(FrameError::Decode(e)) => assert!(e.contains("discriminant")),
             other => panic!("expected decode error, got {other:?}"),
         }
@@ -751,7 +659,7 @@ mod tests {
         payload.extend_from_slice(&[0xAA, 0xBB]);
         let bytes = raw_frame(&payload);
         let mut cur = Cursor::new(bytes);
-        match read_frame(&mut cur, &no_stop()) {
+        match read_one(&mut cur) {
             Err(FrameError::Decode(e)) => assert!(e.contains("trailing")),
             other => panic!("expected decode error, got {other:?}"),
         }
@@ -770,7 +678,7 @@ mod tests {
         payload.extend_from_slice(&u64::MAX.to_le_bytes()); // data len: 2^64-1
         let bytes = raw_frame(&payload);
         let mut cur = Cursor::new(bytes);
-        match read_frame(&mut cur, &no_stop()) {
+        match read_one(&mut cur) {
             Err(FrameError::Decode(_)) => {}
             other => panic!("expected decode error, got {other:?}"),
         }
@@ -838,16 +746,15 @@ mod tests {
         let frames = sample_frames();
         let mut stream = Vec::new();
         for f in &frames {
-            stream.extend_from_slice(&encode_frame(f));
+            stream.extend_from_slice(&encode_wire(f));
         }
         for cut in 1..stream.len() {
             let mut r = ChunkedReader::new(stream.clone(), vec![cut]);
             for f in &frames {
-                let got = read_frame(&mut r, &no_stop())
-                    .unwrap_or_else(|e| panic!("cut at {cut}: {e:?}"));
+                let got = read_one(&mut r).unwrap_or_else(|e| panic!("cut at {cut}: {e:?}"));
                 assert_eq!(&got, f, "cut at {cut} changed a decoded frame");
             }
-            assert_eq!(read_frame(&mut r, &no_stop()), Err(FrameError::Eof));
+            assert_eq!(read_one(&mut r), Err(FrameError::Eof));
         }
     }
 
@@ -864,15 +771,15 @@ mod tests {
             let frames = sample_frames();
             let mut stream = Vec::new();
             for f in &frames {
-                stream.extend_from_slice(&encode_frame(f));
+                stream.extend_from_slice(&encode_wire(f));
             }
             let cuts: Vec<usize> = raw_cuts.iter().map(|c| c % stream.len()).collect();
             let mut r = ChunkedReader::new(stream, cuts.clone());
             for f in &frames {
-                let got = read_frame(&mut r, &no_stop());
+                let got = read_one(&mut r);
                 proptest::prop_assert_eq!(got.as_ref(), Ok(f), "cuts {:?}", &cuts);
             }
-            proptest::prop_assert_eq!(read_frame(&mut r, &no_stop()), Err(FrameError::Eof));
+            proptest::prop_assert_eq!(read_one(&mut r), Err(FrameError::Eof));
         }
     }
 
@@ -895,7 +802,7 @@ mod tests {
         ) {
             let frames = sample_frames();
             let original = &frames[which % frames.len()];
-            let clean = encode_frame(original);
+            let clean = encode_wire(original);
             let tight_cap = (clean.len() - HEADER_LEN) as u32; // exactly this frame's payload
             let mut bytes = clean;
             let pos = pos % bytes.len();
@@ -962,7 +869,7 @@ mod tests {
     fn corrupted_length_prefix_is_caught_at_the_header() {
         for flip in [3usize, 7] {
             // a high bit of the length word, then of the guard word
-            let mut bytes = encode_frame(&Frame::Hello { rank: 1 });
+            let mut bytes = encode_wire(&Frame::RequestKill { rank: 1, op: 2 });
             bytes[flip] ^= 0x01;
             let len = u32::from_le_bytes(bytes[0..4].try_into().unwrap());
             let guard = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
@@ -984,7 +891,7 @@ mod tests {
     /// limit — the header is intact, so only the clock can see this.
     #[test]
     fn mid_frame_silence_stalls_typed() {
-        let full = encode_frame(&Frame::Done {
+        let full = encode_wire(&Frame::Done {
             rank: 2,
             result: vec![7; 64],
         });

@@ -4,18 +4,21 @@
 //! parking, collectives, fault injection, abort unwinding — is backend
 //! generic: it talks to a [`Transport`] that knows how to move a
 //! [`Msg`](crate::Msg) between ranks and how to spread an abort. Two
-//! backends implement it:
+//! implementations exist:
 //!
 //! * **threads** ([`World`](crate::World)): the original in-process
 //!   simulator — one OS thread per rank sharing mailboxes. Payloads
 //!   move as boxed values, never serialized.
-//! * **sockets** ([`socket`]): one OS *process* per rank, connected to
-//!   a supervisor over a Unix domain socket in a star topology.
-//!   Payloads are Wire-encoded into CRC-guarded length-prefixed
-//!   frames; liveness is tracked with heartbeats; a dead process is a
-//!   detectable, recoverable event instead of a wedged world.
+//! * **processes** ([`process`]): one OS *process* per rank, connected
+//!   to a supervisor in a star topology over Unix domain sockets
+//!   ([`Backend::Sockets`]) or TCP ([`Backend::Tcp`]) — one
+//!   implementation, generic over the stream. Payloads are
+//!   Wire-encoded into CRC-guarded length-prefixed frames under a
+//!   sequenced session layer that heals broken links; a rank is dead
+//!   when its process exits or misses a heartbeat window, a detectable,
+//!   recoverable event instead of a wedged world.
 //!
-//! Because child processes cannot inherit closures, socket worlds run
+//! Because child processes cannot inherit closures, process worlds run
 //! *named programs* out of a [`ProgramRegistry`]: plain `fn` items
 //! taking `(&Comm, &ProgramCtx)` and returning Wire-encoded bytes. The
 //! same registry runs unchanged on the thread backend via
@@ -23,11 +26,12 @@
 //! covers both backends.
 
 pub(crate) mod frame;
-pub(crate) mod socket;
-pub(crate) mod tcp;
+pub(crate) mod process;
 
 use crate::{Attempt, Comm, CommError, Mailbox, Msg, RankState, RunOptions, WorldError};
 use std::collections::BTreeMap;
+use std::net::TcpStream;
+use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -40,11 +44,11 @@ pub(crate) trait Transport: Send + Sync {
     /// Blocking-receive timeout configured for this world.
     fn recv_timeout(&self) -> Duration;
     /// True when payloads cross a process boundary and must be
-    /// Wire-encoded by the sender (socket backend).
+    /// Wire-encoded by the sender (process backends).
     fn serializes(&self) -> bool;
     /// The inbound queue `rank` blocks on.
     fn mailbox(&self, rank: usize) -> &Mailbox;
-    /// Enqueue a message for `dest` (local push or socket frame).
+    /// Enqueue a message for `dest` (local push or wire frame).
     fn deliver(&self, dest: usize, msg: Msg);
     /// Fast-path abort check.
     fn is_aborted(&self) -> bool;
@@ -69,15 +73,17 @@ pub(crate) trait Transport: Send + Sync {
     /// death detection to the supervisor's missed-heartbeat window.
     fn begin_stall(&self, rank: usize, op: u64) -> bool;
     /// Liveness context hook, called once per counted comm op with the
-    /// op index and the current telemetry phase. The socket backend
-    /// folds these into its heartbeat frames so the supervisor can name
+    /// op index and the current telemetry phase. The process backends
+    /// fold these into its heartbeat frames so the supervisor can name
     /// a SIGKILLed rank's last comm op and phase in the flight-recorder
     /// postmortem; the thread backend needs nothing (the victim's own
     /// events are already in the shared ring).
     fn note_comm_op(&self, _op: u64, _phase: Option<&'static str>) {}
 }
 
-/// Configuration of the socket (process-per-rank) backend.
+/// Configuration of the process-per-rank backends: one struct for Unix
+/// sockets and TCP alike (the address family is the [`Backend`]
+/// variant).
 #[derive(Clone, Debug)]
 pub struct SocketOptions {
     /// Executable spawned once per rank. Must call
@@ -89,51 +95,12 @@ pub struct SocketOptions {
     /// Interval between heartbeat frames sent by each rank process.
     pub heartbeat_interval: Duration,
     /// How many consecutive missed heartbeat intervals mark a rank
-    /// dead. The window is `heartbeat_interval * heartbeat_grace`;
-    /// keep it generous — a rank busy in a long compute phase still
-    /// heartbeats (the sender is a dedicated thread), but a loaded CI
-    /// machine can starve that thread for tens of milliseconds.
-    pub heartbeat_grace: u32,
-    /// How long to wait for all rank processes to connect back before
-    /// declaring the world failed to start.
-    pub connect_timeout: Duration,
-}
-
-impl SocketOptions {
-    /// Options with the given worker executable and default liveness
-    /// parameters (50 ms heartbeats, 40-interval = 2 s death window,
-    /// 10 s connect timeout).
-    pub fn new(worker: PathBuf) -> Self {
-        SocketOptions {
-            worker,
-            heartbeat_interval: Duration::from_millis(50),
-            heartbeat_grace: 40,
-            connect_timeout: Duration::from_secs(10),
-        }
-    }
-
-    /// The full missed-heartbeat death window.
-    pub fn death_window(&self) -> Duration {
-        self.heartbeat_interval
-            .saturating_mul(self.heartbeat_grace.max(1))
-    }
-}
-
-/// Configuration of the TCP (process-per-rank, multi-node-capable)
-/// backend. Same star topology and liveness model as
-/// [`SocketOptions`], plus the pieces a lossy network needs: a
-/// reconnect schedule and a frame-size cap on the read path.
-#[derive(Clone, Debug)]
-pub struct TcpOptions {
-    /// Executable spawned once per rank; must call
-    /// [`maybe_run_socket_child`] first thing in `main()` (it detects
-    /// both socket and TCP worker environments).
-    pub worker: PathBuf,
-    /// Interval between heartbeat frames sent by each rank process.
-    pub heartbeat_interval: Duration,
-    /// Missed heartbeat intervals before a rank is declared dead. The
-    /// window is also the budget inside which a dropped connection may
-    /// reconnect and resume with **no** failure escalation.
+    /// dead. The window is `heartbeat_interval * heartbeat_grace`, and
+    /// it is also the budget inside which a dropped connection may
+    /// reconnect and resume with **no** failure escalation. Keep it
+    /// generous — a rank busy in a long compute phase still heartbeats
+    /// (the sender is a dedicated thread), but a loaded CI machine can
+    /// starve that thread for tens of milliseconds.
     pub heartbeat_grace: u32,
     /// How long to wait for all rank processes to connect back before
     /// declaring the world failed to start.
@@ -149,12 +116,15 @@ pub struct TcpOptions {
     pub max_frame_len: u32,
 }
 
-impl TcpOptions {
+/// The TCP backend's options: the same struct as the Unix-socket one.
+pub type TcpOptions = SocketOptions;
+
+impl SocketOptions {
     /// Options with the given worker executable and default liveness
     /// parameters (50 ms heartbeats, 40-interval = 2 s death window,
     /// 10 s connect timeout, ~12-attempt jittered reconnect schedule).
     pub fn new(worker: PathBuf) -> Self {
-        TcpOptions {
+        SocketOptions {
             worker,
             heartbeat_interval: Duration::from_millis(50),
             heartbeat_grace: 40,
@@ -184,10 +154,12 @@ pub enum Backend {
     /// One OS process per rank, joined over Unix domain sockets.
     Sockets(SocketOptions),
     /// One OS process per rank, joined over TCP (loopback by default;
-    /// the same wire protocol works across machines). Adds a reliable
-    /// session layer: sequence numbers, acks, and
-    /// reconnect-with-backoff, so a transient connection loss inside
-    /// the heartbeat window heals without any recovery escalation.
+    /// the same wire protocol works across machines).
+    ///
+    /// Both process backends run the same reliable session layer:
+    /// sequence numbers, acks, and reconnect-with-backoff, so a
+    /// transient connection loss inside the heartbeat window heals
+    /// without any recovery escalation.
     Tcp(TcpOptions),
 }
 
@@ -253,12 +225,12 @@ impl ProgramRegistry {
 /// backend and collect the per-rank result bytes in rank order.
 ///
 /// On [`Backend::Threads`] this is [`try_run_with`](crate::try_run_with)
-/// with the program wrapped as a closure. On [`Backend::Sockets`] the
-/// supervisor spawns one worker process per rank and the same program
-/// (found by name in the worker's registry) runs against the socket
-/// transport. Failure reporting is identical in shape: a
-/// [`WorldError`] naming the origin rank and all collateral failures —
-/// plus, only possible on sockets, origins of kind
+/// with the program wrapped as a closure. On [`Backend::Sockets`] and
+/// [`Backend::Tcp`] the supervisor spawns one worker process per rank
+/// and the same program (found by name in the worker's registry) runs
+/// against the process transport. Failure reporting is identical in
+/// shape: a [`WorldError`] naming the origin rank and all collateral
+/// failures — plus, only possible on processes, origins of kind
 /// [`CommError::PeerFailed`] when a rank *process* died.
 pub fn try_run_program(
     backend: &Backend,
@@ -280,19 +252,19 @@ pub fn try_run_program(
             };
             crate::try_run_with(size, opts.clone(), move |c| f(&c, &ctx))
         }
-        Backend::Sockets(sock) => socket::run_socket_world(size, opts, sock, name, args, attempt),
-        Backend::Tcp(tcp_opts) => tcp::run_tcp_world(size, opts, tcp_opts, name, args, attempt),
+        Backend::Sockets(o) => process::run_world::<UnixStream>(size, opts, o, name, args, attempt),
+        Backend::Tcp(o) => process::run_world::<TcpStream>(size, opts, o, name, args, attempt),
     }
 }
 
 /// Worker-process hook: when the calling process was spawned as a
-/// socket- or TCP-backend rank (detected via environment variables set
-/// by the supervisor), connect back, run the requested program from
+/// process-backend rank (detected via environment variables set by the
+/// supervisor), connect back, run the requested program from
 /// `registry`, report the outcome in-band, and **exit the process**.
 /// Returns normally — `false` — only when not a worker.
 ///
 /// Call this first thing in `main()` of any binary used as a
-/// [`SocketOptions::worker`] or [`TcpOptions::worker`].
+/// [`SocketOptions::worker`].
 pub fn maybe_run_socket_child(registry: &ProgramRegistry) -> bool {
-    socket::maybe_run_socket_child(registry) || tcp::maybe_run_tcp_child(registry)
+    process::maybe_run_child(registry)
 }

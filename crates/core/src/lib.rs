@@ -44,7 +44,6 @@
 
 pub mod batch;
 pub mod crc;
-pub mod deep;
 pub mod linear;
 pub mod morton;
 pub mod quadrant;
