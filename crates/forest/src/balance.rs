@@ -3,23 +3,60 @@
 //! A forest is 2:1 balanced when no leaf is adjacent (across the chosen
 //! relations: faces, or faces+edges+corners) to a leaf more than one
 //! refinement level away. Balancing only ever *refines* (as in p4est):
-//! the algorithm ripples refinement outward from fine regions until the
-//! constraint holds globally.
+//! the result is the unique coarsest balanced refinement of the input.
 //!
-//! The implementation alternates local fixed-point rounds with a
-//! constraint exchange: each leaf `q` emits, for every neighbor domain
-//! `n` of its own size, the constraint "any leaf overlapping `n` must
-//! have level ≥ `level(q) − 1`". Constraints targeting remote SFC ranges
-//! are shipped to their owner ranks; a global allreduce detects the
-//! fixed point. Convergence is guaranteed because levels are bounded by
-//! [`Quadrant::MAX_LEVEL`] and every round only refines.
+//! # Constraints and the one-ancestor lookup
+//!
+//! Each leaf `q` of level ≥ 2 emits, for every neighbor domain `D` of its
+//! own size, the constraint "any leaf overlapping `D` must have level ≥
+//! `level(q) − 1`". A leaf overlapping `D` either lies inside `D` (and
+//! meets the constraint) or strictly contains it, so a constraint has at
+//! most one violator: the leaf that is a strict ancestor of `D` at level
+//! ≤ `level(q) − 2`. Leaves are disjoint and SFC-sorted, so that leaf is
+//! the last one whose `morton_abs` is ≤ `D`'s, found with one
+//! `partition_point`. A domain inside `q`'s grandparent needs no lookup:
+//! the leaves overlapping it descend from that grandparent, which is not
+//! a leaf, so none is coarser than `level(q) − 1`.
+//!
+//! # The worklist
+//!
+//! A *sweep* checks a batch of constraints and splits every violator
+//! once. Only the first sweep emits from every leaf, because balance
+//! cannot know what the caller changed. Every later sweep checks only
+//!
+//! * the constraints of leaves created by the previous split, and
+//! * *carried* constraints: those a one-level split left unmet (the
+//!   violator was at `level + 1 < level(q) − 1`). Without them a level-2
+//!   leaf next to a level-6 leaf would stop after one split.
+//!
+//! Sweeps repeat until one splits nothing. This reaches the same fixed
+//! point as re-deriving every constraint from every leaf in every sweep:
+//! constraints only ask for more refinement, so one that was met stays
+//! met; and a split leaf's constraints are implied by its children's
+//! (each child's same-size neighbor domain lies inside the parent's, and
+//! a leaf containing the parent's domain contains the child's, under a
+//! stricter bound). The coarsest balanced refinement is unique, so the
+//! output is leaf-identical to the round-based algorithm; the test
+//! `tests/balance_oracle.rs` keeps that algorithm as its reference.
+//!
+//! # Ranks
+//!
+//! A constraint whose domain reaches outside this rank's SFC range is
+//! also shipped to the ranks that own the rest of it. Each outer round
+//! runs the local sweeps to their fixed point, exchanges every
+//! constraint emitted since the previous exchange in one `alltoallv`,
+//! and checks the incoming batch with the same lookup (unmet ones are
+//! carried into the next round's sweeps). A round in which no rank
+//! split on incoming constraints is the global fixed point; an
+//! allreduce detects it. Convergence is guaranteed because levels are
+//! bounded by [`Quadrant::MAX_LEVEL`] and every sweep only refines.
 //!
 //! Inter-tree constraints propagate across *face* connections (including
 //! edge/corner offsets that exit through a single tree face); tree-edge
 //! and tree-corner connections are not modeled (see DESIGN.md).
 
 use crate::directions::{
-    for_each_neighbor_domain, neighbor_domain, offsets, Adjacency, NeighborScratch,
+    for_each_neighbor_domain, neighbor_domain, offsets, Adjacency, NeighborDomain, NeighborScratch,
 };
 use crate::Forest;
 use quadforest_comm::Comm;
@@ -47,63 +84,93 @@ impl BalanceKind {
 /// `coords` (level `level`) in `tree` must be at least `level - 1` deep.
 type Constraint = (u32, [i32; 3], u8);
 
+/// What one batch of constraint checks found.
+struct Violations {
+    /// Per tree, indices of the leaves to split (unsorted, may repeat).
+    marks: Vec<Vec<usize>>,
+    /// Constraints a one-level split of their violator leaves unmet.
+    carried: Vec<Constraint>,
+    /// Number of constraints looked up.
+    checked: u64,
+}
+
+impl Violations {
+    fn new(trees: usize) -> Self {
+        Self {
+            marks: vec![Vec::new(); trees],
+            carried: Vec::new(),
+            checked: 0,
+        }
+    }
+}
+
 impl<Q: Quadrant> Forest<Q> {
     /// 2:1-balance the forest (collective). Returns the number of leaves
     /// refined on this rank.
     pub fn balance(&mut self, comm: &Comm, kind: BalanceKind) -> usize {
         let _span = quadforest_telemetry::span("balance");
-        let adjacency = kind.adjacency();
-        let offs = offsets(Q::DIM, adjacency);
+        let offs = offsets(Q::DIM, kind.adjacency());
         let mut scratch = NeighborScratch::new();
+        // leaves whose constraints are not emitted yet; `None` = all
+        let mut fresh: Option<Vec<Vec<Q>>> = None;
+        let mut carried: Vec<Constraint> = Vec::new();
         let mut refined_total = 0;
         loop {
             let _round = quadforest_telemetry::span("balance.round");
             quadforest_telemetry::counter_add("forest.balance.rounds", 1);
+            // constraints this round emits, per target rank
+            let mut outgoing: Vec<Vec<Constraint>> = vec![Vec::new(); self.size];
             // local fixed point
-            refined_total += self.balance_local(adjacency);
-
-            // emit constraints whose target range is (partly) remote;
-            // leaves below level 2 cannot constrain anyone below level 1
-            // and are skipped by the enumeration's level floor
-            let mut outgoing: Vec<Vec<Constraint>> = (0..self.size).map(|_| Vec::new()).collect();
-            for t in 0..self.trees.len() {
-                for_each_neighbor_domain(
-                    self.connectivity(),
-                    t as u32,
-                    &self.trees[t],
-                    &offs,
-                    2,
-                    &mut scratch,
-                    |_, _, dom| {
-                        let probe = Q::from_coords(dom.coords, dom.level);
-                        for r in self.owners_of_subtree(dom.tree, &probe) {
-                            if r != self.rank {
-                                outgoing[r].push((dom.tree, dom.coords, dom.level));
-                            }
-                        }
-                    },
-                );
+            loop {
+                quadforest_telemetry::counter_add("forest.balance.sweeps", 1);
+                let mut found = Violations::new(self.trees.len());
+                for c in carried {
+                    self.check(c, &mut found);
+                }
+                // leaves below level 2 cannot constrain anyone below
+                // level 1 and are skipped by the enumeration's level floor
+                for t in 0..self.trees.len() {
+                    let sources = match &fresh {
+                        None => &self.trees[t],
+                        Some(fresh) => &fresh[t],
+                    };
+                    for_each_neighbor_domain(
+                        self.connectivity(),
+                        t as u32,
+                        sources,
+                        &offs,
+                        2,
+                        &mut scratch,
+                        |i, _, dom| {
+                            self.route(t as u32, &sources[i], dom, &mut found, &mut outgoing)
+                        },
+                    );
+                }
+                let (split, new, unmet) = self.split(found);
+                (fresh, carried) = (Some(new), unmet);
+                refined_total += split;
+                if split == 0 {
+                    break;
+                }
             }
+
             quadforest_telemetry::counter_add(
                 "forest.balance.constraints_sent",
                 outgoing.iter().map(|v| v.len() as u64).sum(),
             );
             let incoming = comm.alltoallv(outgoing);
-
-            // apply remote constraints in one batch
-            let remote: Vec<Constraint> = incoming.into_iter().flatten().collect();
-            let changed = self.apply_constraints(&remote) > 0;
-            if changed {
-                // remote-induced refinement may cascade locally
-                refined_total += self.balance_local(adjacency);
+            let mut found = Violations::new(self.trees.len());
+            for c in incoming.into_iter().flatten() {
+                self.check(c, &mut found);
             }
+            let (split, new, unmet) = self.split(found);
+            (fresh, carried) = (Some(new), unmet);
+            refined_total += split;
 
-            let global_changed = comm.allreduce(changed as u64, |a, b| a | b);
-            // one final quiet round proves the fixed point; since
-            // balance_local always runs to a local fixed point and
-            // constraints only flow through the exchange, a round with no
-            // remote-induced changes anywhere is the global fixed point.
-            if global_changed == 0 {
+            // the local sweeps emitted every leaf's constraints before the
+            // exchange, so a round in which no rank split on incoming
+            // constraints is the global fixed point
+            if comm.allreduce((split > 0) as u64, |a, b| a | b) == 0 {
                 break;
             }
         }
@@ -113,75 +180,94 @@ impl<Q: Quadrant> Forest<Q> {
         refined_total
     }
 
-    /// Enforce the 2:1 constraint among local leaves until stable.
-    /// Each round gathers all constraints, marks every violator, and
-    /// splits them in one rebuild per tree (one level per round; rounds
-    /// repeat to the fixed point). Returns the number of leaves refined.
-    fn balance_local(&mut self, adjacency: Adjacency) -> usize {
-        let offs = offsets(Q::DIM, adjacency);
-        let mut scratch = NeighborScratch::new();
-        let mut refined = 0;
-        loop {
-            // collect constraints from all local leaves of level ≥ 2,
-            // one batched SoA sweep per tree
-            let mut constraints: Vec<Constraint> = Vec::new();
-            for t in 0..self.trees.len() {
-                for_each_neighbor_domain(
-                    self.connectivity(),
-                    t as u32,
-                    &self.trees[t],
-                    &offs,
-                    2,
-                    &mut scratch,
-                    |_, _, dom| constraints.push((dom.tree, dom.coords, dom.level)),
-                );
+    /// Check the constraint leaf `source` of tree `tree` emits on `dom`:
+    /// skip it when the domain lies inside the source's grandparent (see
+    /// the module doc), look up its violator when the domain may hold a
+    /// local leaf, and queue it for every other rank whose SFC range the
+    /// domain reaches.
+    fn route(
+        &self,
+        tree: u32,
+        source: &Q,
+        dom: &NeighborDomain,
+        found: &mut Violations,
+        outgoing: &mut [Vec<Constraint>],
+    ) {
+        let c = (dom.tree, dom.coords, dom.level);
+        let q = Q::from_coords(dom.coords, dom.level);
+        if dom.tree == tree && source.ancestor(dom.level - 2).is_ancestor_of(&q) {
+            return;
+        }
+        let first = q.morton_abs();
+        let last = first + ((1u64 << (Q::DIM * (Q::MAX_LEVEL - dom.level) as u32)) - 1);
+        let local = if self.is_local_position((dom.tree, first))
+            && self.is_local_position((dom.tree, last))
+        {
+            true
+        } else {
+            let owners = self.owner_of_position((dom.tree, first))
+                ..=self.owner_of_position((dom.tree, last));
+            for (r, out) in owners.clone().zip(&mut outgoing[owners.clone()]) {
+                if r != self.rank {
+                    out.push(c);
+                }
             }
-            let changed = self.apply_constraints(&constraints);
-            refined += changed;
-            if changed == 0 {
-                return refined;
+            owners.contains(&self.rank)
+        };
+        if local {
+            self.lookup(c, &q, first, found);
+        }
+    }
+
+    /// Check one constraint against the local leaves.
+    fn check(&self, c: Constraint, found: &mut Violations) {
+        let dom = Q::from_coords(c.1, c.2);
+        self.lookup(c, &dom, dom.morton_abs(), found);
+    }
+
+    /// Find the single possible violator of constraint `c` on domain
+    /// `dom` (curve index `key`): the last local leaf at or before `key`,
+    /// if it strictly contains `dom` and is more than one level coarser.
+    fn lookup(&self, c: Constraint, dom: &Q, key: u64, found: &mut Violations) {
+        found.checked += 1;
+        let (tree, _, level) = c;
+        let leaves = &self.trees[tree as usize];
+        let i = leaves.partition_point(|p| p.morton_abs() <= key);
+        let Some(p) = i.checked_sub(1).map(|j| &leaves[j]) else {
+            return;
+        };
+        if p.level() + 1 < level && p.is_ancestor_of(dom) {
+            found.marks[tree as usize].push(i - 1);
+            if p.level() + 2 < level {
+                found.carried.push(c);
             }
         }
     }
 
-    /// Mark every local leaf violating any of `constraints` and split
-    /// the marked leaves once (one level). One rebuild per affected
-    /// tree. Returns the number of splits.
-    fn apply_constraints(&mut self, constraints: &[Constraint]) -> usize {
-        // per-tree violator marks
-        let mut marks: Vec<Vec<bool>> = self.trees.iter().map(|t| vec![false; t.len()]).collect();
-        let mut any = false;
-        for &(tree, coords, level) in constraints {
-            if level < 2 {
-                continue;
-            }
-            let dom = Q::from_coords(coords, level);
-            let range = self.overlapping_range(tree, &dom);
-            let leaves = &self.trees[tree as usize];
-            let min_level = level - 1;
-            for i in range {
-                if leaves[i].level() < min_level && !marks[tree as usize][i] {
-                    marks[tree as usize][i] = true;
-                    any = true;
-                }
-            }
-        }
-        if !any {
-            return 0;
-        }
+    /// Split every marked leaf once (one rebuild per affected tree).
+    /// Returns the number of splits, the new leaves per tree (the next
+    /// sweep's sources) and the carried constraints.
+    fn split(&mut self, found: Violations) -> (usize, Vec<Vec<Q>>, Vec<Constraint>) {
+        quadforest_telemetry::counter_add("forest.balance.constraints_checked", found.checked);
         let mut split = 0;
-        for (t, tree_marks) in marks.into_iter().enumerate() {
-            if !tree_marks.iter().any(|&m| m) {
+        let mut fresh = vec![Vec::new(); self.trees.len()];
+        for (t, mut marks) in found.marks.into_iter().enumerate() {
+            if marks.is_empty() {
                 continue;
             }
+            marks.sort_unstable();
+            marks.dedup();
+            split += marks.len();
             let old = std::mem::take(&mut self.trees[t]);
             let mut out: Vec<Q> =
-                Vec::with_capacity(old.len() + tree_marks.iter().filter(|&&m| m).count() * 7);
-            for (q, marked) in old.into_iter().zip(tree_marks) {
-                if marked {
-                    split += 1;
+                Vec::with_capacity(old.len() + marks.len() * (Q::NUM_CHILDREN as usize - 1));
+            let mut next = marks.into_iter().peekable();
+            for (i, q) in old.into_iter().enumerate() {
+                if next.next_if_eq(&i).is_some() {
                     for c in 0..Q::NUM_CHILDREN {
-                        out.push(q.child(c));
+                        let child = q.child(c);
+                        out.push(child);
+                        fresh[t].push(child);
                     }
                 } else {
                     out.push(q);
@@ -189,12 +275,14 @@ impl<Q: Quadrant> Forest<Q> {
             }
             self.trees[t] = out;
         }
-        split
+        (split, fresh, found.carried)
     }
 
-    /// Check the 2:1 property over the locally visible mesh (local
-    /// leaves plus an optional ghost layer), returning the first
-    /// violation found. Used by tests; collective-free.
+    /// Check the 2:1 property among this rank's own leaves, returning the
+    /// first violation found. There is no ghost input: pairs of leaves on
+    /// different ranks are not checked. For a cross-rank check, gather
+    /// the forest (`gather_all`) and compare against a serial reference,
+    /// as `tests/balance_oracle.rs` does. Used by tests; collective-free.
     pub fn is_balanced_local(&self, kind: BalanceKind) -> Result<(), String> {
         for (t, q) in self.leaves() {
             if q.level() < 2 {

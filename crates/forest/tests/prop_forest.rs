@@ -134,10 +134,12 @@ proptest! {
     }
 
     /// After a final balance the 2:1 condition verifies globally (on the
-    /// serial gather, where all neighbors are visible).
+    /// serial gather, where all neighbors are visible), for Face and Full
+    /// balance alike.
     #[test]
     fn final_balance_verifies(
         steps in proptest::collection::vec(step_strategy(), 1..6),
+        kind in prop_oneof![Just(BalanceKind::Face), Just(BalanceKind::Full)],
     ) {
         let mut steps = steps;
         steps.push(Step::Balance);
@@ -160,14 +162,14 @@ proptest! {
                         });
                     }
                     Step::Balance => {
-                        f.balance(&comm, BalanceKind::Face);
+                        f.balance(&comm, kind);
                     }
                     Step::Partition => {
                         f.partition(&comm);
                     }
                 }
             }
-            f.is_balanced_local(BalanceKind::Face)
+            f.is_balanced_local(kind)
                 .expect("final mesh must be 2:1");
         });
     }
