@@ -1180,31 +1180,20 @@ fn run_queries(opts: &Opts) {
             let exec = QueryExecutor::new(Arc::clone(&handle), workers);
             let got: Vec<_> = points
                 .chunks(BATCH)
-                .map(|c| exec.submit_points(c.to_vec()))
-                .collect::<Vec<_>>()
-                .into_iter()
-                .flat_map(|t| t.wait())
+                .flat_map(|c| exec.locate_points(c.to_vec()))
                 .collect();
             assert_eq!(
                 got, expect_points,
                 "executor diverged ({name}, {workers} workers)"
             );
             mt_pts.push(time_best_of(opts.iters, || {
-                let tickets: Vec<_> = points
-                    .chunks(BATCH)
-                    .map(|c| exec.submit_points(c.to_vec()))
-                    .collect();
-                for t in tickets {
-                    std::hint::black_box(t.wait());
+                for c in points.chunks(BATCH) {
+                    std::hint::black_box(exec.locate_points(c.to_vec()));
                 }
             }));
             mt_box.push(time_best_of(opts.iters, || {
-                let tickets: Vec<_> = boxes
-                    .iter()
-                    .map(|&(lo, hi)| exec.submit_box(0, lo, hi))
-                    .collect();
-                for t in tickets {
-                    std::hint::black_box(t.wait());
+                for &(lo, hi) in boxes {
+                    std::hint::black_box(exec.query_box(0, lo, hi));
                 }
             }));
         }
@@ -1296,10 +1285,7 @@ fn run_queries(opts: &Opts) {
                 let exec = QueryExecutor::new(Arc::clone(&handle), workers);
                 let got: Vec<_> = pts
                     .chunks(b)
-                    .map(|c| exec.submit_points(c.to_vec()))
-                    .collect::<Vec<_>>()
-                    .into_iter()
-                    .flat_map(|t| t.wait())
+                    .flat_map(|c| exec.locate_points(c.to_vec()))
                     .collect();
                 assert_eq!(
                     got, expect,
@@ -1307,12 +1293,8 @@ fn run_queries(opts: &Opts) {
                 );
                 let s0 = reg.snapshot();
                 ws.push(time_best_of(opts.iters, || {
-                    let tickets: Vec<_> = pts
-                        .chunks(b)
-                        .map(|c| exec.submit_points(c.to_vec()))
-                        .collect();
-                    for t in tickets {
-                        std::hint::black_box(t.wait());
+                    for c in pts.chunks(b) {
+                        std::hint::black_box(exec.locate_points(c.to_vec()));
                     }
                 }));
                 let s1 = reg.snapshot();
@@ -1921,12 +1903,9 @@ fn run_prom(path: &str) {
     let handle = SnapshotHandle::new(snap);
     let exec = QueryExecutor::new(Arc::clone(&handle), 2);
     for c in points.chunks(512) {
-        std::hint::black_box(exec.submit_points(c.to_vec()).wait());
+        std::hint::black_box(exec.locate_points(c.to_vec()));
     }
-    std::hint::black_box(
-        exec.submit_box(0, [0, 0, 0], [root / 4, root / 4, 0])
-            .wait(),
-    );
+    std::hint::black_box(exec.query_box(0, [0, 0, 0], [root / 4, root / 4, 0]));
     drop(exec);
     quadforest_telemetry::set_slow_query_threshold_ns(u64::MAX);
 

@@ -1,88 +1,36 @@
-//! The atomic-swap snapshot handle: lock-free reads, grace-period
-//! reclamation.
+//! The snapshot publication point: an `RwLock<Arc<ForestSnapshot>>`.
 //!
-//! The AMR loop (refine → balance → partition) publishes a fresh
-//! [`ForestSnapshot`] each generation while reader threads keep serving
-//! the previous one. The read path must not lock — a hiccup in the
-//! mutator must never stall the serving fleet — so [`SnapshotHandle`]
-//! implements a small two-epoch RCU:
+//! The AMR loop publishes a fresh [`ForestSnapshot`] each generation
+//! while readers keep serving the previous one. Both sides hold the lock
+//! only to clone or swap the `Arc`; the retired snapshot is dropped after
+//! the write lock is released.
 //!
-//! * the current snapshot lives behind an `AtomicPtr`;
-//! * a reader *pins* itself in one of two epoch slots (a sharded atomic
-//!   counter increment — wait-free, no mutex, no CAS loop), loads the
-//!   pointer, clones the `Arc`, and unpins;
-//! * [`SnapshotHandle::publish`] swaps the pointer, flips the epoch
-//!   parity, then waits for the *old* epoch's reader count to drain
-//!   before dropping the retired pointer. New readers pin the new
-//!   epoch, so the wait terminates under any read load.
-//!
-//! The consistency model follows: a reader sees some recently published
-//! generation — possibly one generation stale if it raced a publish —
-//! but always a complete, immutable snapshot; torn state is
-//! unrepresentable. Publishing blocks briefly (readers pin only for the
-//! nanoseconds between increment and `Arc` clone), which is the right
-//! trade: the mutator pays, the serving path never does.
+//! A reader sees some recently published generation — possibly one
+//! generation stale if it raced a publish — but always a complete,
+//! immutable snapshot; torn state is unrepresentable.
 
 use crate::ForestSnapshot;
 use quadforest_telemetry as telemetry;
-use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering::SeqCst};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, PoisonError, RwLock};
 
-/// Number of reader shards per epoch slot; spreads the pin counters
-/// across cache lines so concurrent readers do not serialize on one
-/// atomic.
-const SHARDS: usize = 8;
-
-/// A cache-line-padded counter (one per shard per epoch).
-#[repr(align(64))]
-#[derive(Default)]
-struct PaddedCounter(AtomicU64);
-
-/// Per-thread shard assignment, round-robin at first use.
-fn thread_shard() -> usize {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static SHARD: usize = NEXT.fetch_add(1, SeqCst) % SHARDS;
-    }
-    SHARD.with(|s| *s)
-}
-
-/// The atomic-swap publication point for [`ForestSnapshot`]s.
+/// The publication point for [`ForestSnapshot`]s.
 ///
 /// Cheap to share (`Arc<SnapshotHandle>`); any number of reader threads
 /// call [`load`](SnapshotHandle::load) concurrently with one (or more,
 /// serialized) publishers calling [`publish`](SnapshotHandle::publish).
 pub struct SnapshotHandle {
-    /// Owned `Arc<ForestSnapshot>` behind a raw pointer; the box is the
-    /// unit of retirement.
-    current: AtomicPtr<Arc<ForestSnapshot>>,
-    /// Monotonic publish counter; low bit selects the active epoch slot.
-    epoch: AtomicU64,
-    /// Reader pin counts: `[epoch parity][shard]`.
-    active: [[PaddedCounter; SHARDS]; 2],
-    /// Serializes publishers (readers never touch it).
-    publish_lock: Mutex<()>,
-    /// Cached global-registry gauges (query worker threads are not rank
-    /// threads, so snapshot metrics live in the process-global registry).
+    current: RwLock<Arc<ForestSnapshot>>,
+    /// Process-global gauges (helper threads are not rank threads).
     gen_gauge: telemetry::Gauge,
     age_gauge: telemetry::Gauge,
 }
-
-// SAFETY: the raw pointer is only ever a Box<Arc<ForestSnapshot>> whose
-// ownership is transferred through the atomic with SeqCst ordering and
-// reclaimed only after the two-epoch grace period below.
-unsafe impl Send for SnapshotHandle {}
-unsafe impl Sync for SnapshotHandle {}
 
 impl SnapshotHandle {
     /// Create a handle serving `initial` as generation zero's snapshot.
     pub fn new(initial: ForestSnapshot) -> Arc<Self> {
         let generation = initial.generation();
         let handle = Arc::new(SnapshotHandle {
-            current: AtomicPtr::new(Box::into_raw(Box::new(Arc::new(initial)))),
-            epoch: AtomicU64::new(0),
-            active: Default::default(),
-            publish_lock: Mutex::new(()),
+            current: RwLock::new(Arc::new(initial)),
             gen_gauge: telemetry::global().gauge("snapshot.generation"),
             age_gauge: telemetry::global().gauge("snapshot.age_ns"),
         });
@@ -90,31 +38,9 @@ impl SnapshotHandle {
         handle
     }
 
-    /// The hot read path: pin, load, clone, unpin. Wait-free for the
-    /// reader (two shard-local atomic adds and one `Arc` clone); never
-    /// blocks on publishers, never takes a lock.
+    /// The read path: clone the current `Arc` under the read lock.
     pub fn load(&self) -> Arc<ForestSnapshot> {
-        let shard = thread_shard();
-        // Pin into the current epoch slot; revalidate the parity after
-        // the increment so a publisher that flipped concurrently is
-        // guaranteed to observe the pin during its drain (or we retry
-        // into the slot it will not reclaim).
-        let e = loop {
-            let e = (self.epoch.load(SeqCst) & 1) as usize;
-            self.active[e][shard].0.fetch_add(1, SeqCst);
-            if (self.epoch.load(SeqCst) & 1) as usize == e {
-                break e;
-            }
-            self.active[e][shard].0.fetch_sub(1, SeqCst);
-        };
-        let p = self.current.load(SeqCst);
-        // SAFETY: `p` was current after our pin was visible; the
-        // publisher that retires it flips the epoch first and then
-        // drains the slot we are pinned in, so it cannot be freed
-        // before our unpin below.
-        let snap = unsafe { (*p).clone() };
-        self.active[e][shard].0.fetch_sub(1, SeqCst);
-        snap
+        Arc::clone(&self.current.read().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// Generation of the currently served snapshot.
@@ -123,44 +49,25 @@ impl SnapshotHandle {
     }
 
     /// Record the served snapshot's age into the `snapshot.age_ns`
-    /// gauge (called by the executor between batches; cheap enough for
-    /// any cadence).
+    /// gauge (cheap enough for any cadence).
     pub fn record_age(&self) {
         self.age_gauge.set(self.load().age_ns());
     }
 
     /// Publish a new snapshot generation. Readers that raced the swap
     /// finish against the previous snapshot; every later
-    /// [`load`](SnapshotHandle::load) observes the new one. Blocks the
-    /// caller until no reader still holds the retired pointer, then
-    /// frees it.
+    /// [`load`](SnapshotHandle::load) observes the new one. The retired
+    /// snapshot is freed here only if no reader still holds it, and
+    /// always after the write lock is released.
     pub fn publish(&self, snapshot: ForestSnapshot) {
-        let _guard = self.publish_lock.lock().unwrap_or_else(|p| p.into_inner());
         let generation = snapshot.generation();
-        let fresh = Box::into_raw(Box::new(Arc::new(snapshot)));
-        let retired = self.current.swap(fresh, SeqCst);
-        // Flip the epoch parity: readers arriving from here pin the new
-        // slot, so the old slot's pin count can only drain.
-        let old = (self.epoch.fetch_add(1, SeqCst) & 1) as usize;
-        while self.active[old].iter().any(|c| c.0.load(SeqCst) != 0) {
-            std::thread::yield_now();
-        }
-        // SAFETY: the retired pointer is no longer reachable (swapped
-        // out) and the grace period above guarantees no reader is still
-        // between pin and clone on it.
-        unsafe { drop(Box::from_raw(retired)) };
+        let retired = std::mem::replace(
+            &mut *self.current.write().unwrap_or_else(PoisonError::into_inner),
+            Arc::new(snapshot),
+        );
+        drop(retired);
         self.gen_gauge.set(generation);
         telemetry::global().counter("snapshot.published").incr();
-    }
-}
-
-impl Drop for SnapshotHandle {
-    fn drop(&mut self) {
-        // Exclusive access: no readers can exist (they would hold a
-        // reference to the handle).
-        let p = self.current.load(SeqCst);
-        // SAFETY: sole owner of the last published box.
-        unsafe { drop(Box::from_raw(p)) };
     }
 }
 

@@ -13,9 +13,10 @@
 //!   offsets + partition markers), buildable from **any** quadrant
 //!   representation via the batched SIMD-dispatched key kernels. All
 //!   queries run against snapshots, never against the live forest.
-//! * [`SnapshotHandle`] — the atomic-swap publication point. The AMR
-//!   loop publishes a fresh snapshot each generation; readers
-//!   [`load`](SnapshotHandle::load) lock-free and may be at most one
+//! * [`SnapshotHandle`] — the publication point, an
+//!   `RwLock<Arc<ForestSnapshot>>`. The AMR loop publishes a fresh
+//!   snapshot each generation; readers [`load`](SnapshotHandle::load)
+//!   it by cloning the `Arc` under the read lock and may be at most one
 //!   generation stale, never torn.
 //! * query kernels — batched point location
 //!   ([`ForestSnapshot::locate_many`]: one SIMD-dispatched key-extract
@@ -25,11 +26,11 @@
 //!   backed by `quadforest_core::zrange`, covers served in curve order
 //!   with cross-box resume), and per-region level histograms
 //!   ([`ForestSnapshot::level_histogram_in_box`]).
-//! * [`QueryExecutor`] — a pool of worker threads serving batches from
-//!   a shared job board, each point batch split into per-worker
-//!   Z-interval shards of the snapshot (with chunk stealing), answers
-//!   delivered through a shared slot buffer and one completion-latch
-//!   wakeup per batch (backpressure by bounded in-flight batches).
+//! * [`QueryExecutor`] — synchronous batch serving: the caller and a
+//!   fixed pool of helper threads split each point batch into
+//!   per-worker Z-interval shards of the snapshot, steal chunks from
+//!   each other's shards, and the caller scatters the answers back
+//!   into input order.
 //! * distributed routing — [`locate_global`] / [`query_box_global`]
 //!   scatter non-local queries to their owning ranks (decided by the
 //!   snapshot's partition markers) over `Comm::exchange`.
@@ -57,7 +58,7 @@
 //! ```
 
 #![warn(missing_docs)]
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 mod distributed;
 mod executor;
@@ -65,6 +66,6 @@ mod handle;
 mod snapshot;
 
 pub use distributed::{locate_global, query_box_global, RoutedHit};
-pub use executor::{QueryExecutor, Ticket, DEFAULT_QUEUE_CAPACITY};
+pub use executor::{QueryExecutor, Ticket};
 pub use handle::SnapshotHandle;
 pub use snapshot::{box_cover_for, BoxQuery, ForestSnapshot, LeafHit};

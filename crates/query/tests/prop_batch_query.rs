@@ -159,8 +159,7 @@ fn shard_spanning_batch_matches_reference() {
 fn executor_hammer_concurrent_submitters() {
     let snap = snapshot_for::<MortonQuad<2>>(11);
     let handle = SnapshotHandle::new(snap.clone());
-    // capacity 2 keeps backpressure in play while 4 submitters race
-    let exec = QueryExecutor::with_capacity(handle, 4, 2);
+    let exec = QueryExecutor::new(handle, 4);
     let root = MortonQuad::<2>::len_at(0);
     let snap = Arc::new(snap);
     std::thread::scope(|scope| {
